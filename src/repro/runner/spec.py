@@ -19,15 +19,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Dict, Optional
 
 from ..algorithms import cholesky_program, lu_program, qr_program
-from ..core.cells import ENGINE_MODES
 from ..core.soa import ENGINE_BACKENDS
 from ..core.task import Program
 from ..core.watchdog import STALL_POLICIES, StallPolicy
-from ..schedulers import make_scheduler
+from ..kernels.distributions import MODEL_FAMILIES
+from ..machine.topology import MACHINE_PRESETS
+from ..schedulers import SCHEDULERS, STARPU_POLICIES, make_scheduler
 from ..schedulers.base import SchedulerBase
 
 __all__ = ["ProgramSpec", "SchedulerSpec", "RunSpec", "CACHE_VERSION", "RUNTIMES"]
@@ -45,6 +47,33 @@ _GENERATORS = {
     "qr": qr_program,
     "lu": lu_program,
 }
+
+
+def _check_int(what: str, value: Any, minimum: int) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer (not a bool or a
+    float) of at least ``minimum``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{what} must be at least {minimum}, got {value!r}")
+
+
+def _drop_legacy_engine_mode(data: Any) -> Any:
+    """Accept spec documents written while ``RunSpec`` had ``engine_mode``.
+
+    Every such document carries ``"engine_mode": "serialized"``, which named
+    the one event loop that remains, so it is dropped.  Any other value
+    selected the removed cell-partitioned (multicell) engine and is refused.
+    """
+    if not isinstance(data, dict) or "engine_mode" not in data:
+        return data
+    mode = data["engine_mode"]
+    if mode != "serialized":
+        raise ValueError(
+            f"engine_mode {mode!r} selected the cell-partitioned engine, which "
+            "has been removed; only the legacy value 'serialized' is accepted"
+        )
+    return {k: v for k, v in data.items() if k != "engine_mode"}
 
 
 def _known_fields(cls, data: Dict[str, Any], what: str) -> Dict[str, Any]:
@@ -117,6 +146,31 @@ class SchedulerSpec:
     window: Optional[int] = None
     immediate_successor: Optional[bool] = None  # OmpSs only
 
+    def __post_init__(self) -> None:
+        # Checked here, not in ``build()``: a bad wire document must fail at
+        # parse time (400), not when a worker builds the scheduler (500).
+        if self.name not in SCHEDULERS:
+            raise ValueError(
+                f"unknown scheduler {self.name!r}; choose from {sorted(SCHEDULERS)}"
+            )
+        _check_int("n_workers", self.n_workers, 1)
+        if self.window is not None:
+            _check_int("window", self.window, 1)
+        if self.policy is not None:
+            if self.name != "starpu":
+                raise ValueError(f"policy applies to starpu only, not {self.name!r}")
+            if self.policy not in STARPU_POLICIES:
+                raise ValueError(
+                    f"unknown StarPU policy {self.policy!r}; choose from {STARPU_POLICIES}"
+                )
+        if self.immediate_successor is not None:
+            if self.name != "ompss":
+                raise ValueError(
+                    f"immediate_successor applies to ompss only, not {self.name!r}"
+                )
+            if not isinstance(self.immediate_successor, bool):
+                raise ValueError("immediate_successor must be a boolean")
+
     def build(self) -> SchedulerBase:
         kwargs: Dict[str, Any] = {}
         if self.policy is not None:
@@ -182,12 +236,6 @@ class RunSpec:
     #: out of the cache key so pre-existing caches survive.
     calibration: Optional[str] = None
 
-    # -- event-loop realisation (engine runtime only) ----------------------
-    #: serialized | multicell | auto — see :mod:`repro.core.cells`.  Every
-    #: mode produces the same trace, so ``serialized`` (the default) is
-    #: normalised out of the cache key.
-    engine_mode: str = "serialized"
-
     #: object | array — the engine implementation (:mod:`repro.core.soa`).
     #: Both produce byte-identical traces, so ``object`` (the default) is
     #: normalised out of the cache key and pre-existing caches survive;
@@ -196,6 +244,19 @@ class RunSpec:
     engine_backend: str = "object"
 
     def __post_init__(self) -> None:
+        _check_int("seed", self.seed, 0)
+        _check_int("cal_seed", self.cal_seed, 0)
+        if self.cal_nt is not None:
+            _check_int("cal_nt", self.cal_nt, 1)
+        if self.machine not in MACHINE_PRESETS:
+            raise ValueError(
+                f"unknown machine {self.machine!r}; presets: {sorted(MACHINE_PRESETS)}"
+            )
+        if self.family != "best" and self.family not in MODEL_FAMILIES:
+            raise ValueError(
+                f"unknown model family {self.family!r}; choose from "
+                f"{sorted(MODEL_FAMILIES) + ['best']}"
+            )
         if self.mode not in ("real", "simulated"):
             raise ValueError(f"unknown mode {self.mode!r}; choose real/simulated")
         if self.calibration is not None and self.mode != "simulated":
@@ -207,19 +268,10 @@ class RunSpec:
             )
         if self.runtime not in RUNTIMES:
             raise ValueError(f"unknown runtime {self.runtime!r}; choose from {RUNTIMES}")
-        if self.engine_mode not in ENGINE_MODES:
-            raise ValueError(
-                f"unknown engine_mode {self.engine_mode!r}; choose from {ENGINE_MODES}"
-            )
         if self.engine_backend not in ENGINE_BACKENDS:
             raise ValueError(
                 f"unknown engine_backend {self.engine_backend!r}; "
                 f"choose from {ENGINE_BACKENDS}"
-            )
-        if self.runtime == "threaded" and self.engine_mode != "serialized":
-            raise ValueError(
-                "the threaded runtime has no partitioned event loop; "
-                "engine_mode must stay 'serialized' with runtime='threaded'"
             )
         if self.runtime == "threaded" and self.engine_backend != "object":
             raise ValueError(
@@ -278,9 +330,11 @@ class RunSpec:
         ``spec.json`` provenance files: nested ``program`` / ``scheduler`` /
         ``cal_scheduler`` objects are reconstructed recursively, every
         field is validated by the dataclass ``__post_init__`` checks, and
-        unknown keys raise ``ValueError`` instead of being dropped.
+        unknown keys raise ``ValueError`` instead of being dropped.  The one
+        exception is a legacy ``"engine_mode": "serialized"`` entry, which
+        older documents carry and which is dropped.
         """
-        fields = _known_fields(cls, data, "RunSpec")
+        fields = _known_fields(cls, _drop_legacy_engine_mode(data), "RunSpec")
         fields["program"] = ProgramSpec.from_dict(fields.get("program") or {})
         fields["scheduler"] = SchedulerSpec.from_dict(fields.get("scheduler") or {})
         if fields.get("cal_scheduler") is not None:
@@ -328,13 +382,7 @@ class RunSpec:
         doc.pop("on_stall", None)
         if self.runtime != "threaded":
             doc.pop("guard", None)
-        # The default serialized loop is normalised out so pre-existing keys
-        # survive; non-default modes stay in — traces agree by construction,
-        # but the recorded metrics (per-cell counters, wall time) differ.
-        if self.engine_mode == "serialized":
-            doc.pop("engine_mode", None)
-        # Same normalisation for the engine implementation: the default
-        # object backend drops out so existing caches stay valid.
+        # The default object backend drops out so existing caches stay valid.
         if self.engine_backend == "object":
             doc.pop("engine_backend", None)
         canon = json.dumps(doc, sort_keys=True, default=str)

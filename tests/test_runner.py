@@ -1,6 +1,7 @@
 """Tests for the parallel sweep runner: specs, cache, metrics, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,9 @@ from repro.runner import (
     run_cached,
     sweep,
 )
+from repro.service.loadgen import load_request_log
+
+DATA = Path(__file__).parent / "data"
 
 
 def _spec(nt=4, seed=0, mode="real", scheduler="quark", **kwargs):
@@ -102,6 +106,98 @@ class TestSpecs:
         policy = spec.stall_policy()
         assert policy.timeout_s == 7.5
         assert policy.on_stall == "recover"
+
+
+#: ``cache_key()`` of four specs, computed before ``RunSpec`` lost its
+#: ``engine_mode`` field.  A field that leaves ``RunSpec`` while normalised
+#: out of the key must not rehash a single existing cache entry.
+PINNED_CACHE_KEYS = [
+    (
+        "real",
+        RunSpec(
+            ProgramSpec("cholesky", 6, 100), SchedulerSpec("quark", 8),
+            "magny_cours_48", seed=3,
+        ),
+        "fbd0b85372339b3dc9e9a7facff66f30a2103064f3e0c976590f07310eba79f2",
+    ),
+    (
+        "simulated",
+        RunSpec(
+            ProgramSpec("qr", 5, 100), SchedulerSpec("starpu", 7, policy="prio"),
+            "magny_cours_48", seed=1, mode="simulated", cal_nt=4,
+        ),
+        "c45144b0307116051ee9dc07846ef7c431ddb05926b66f2baa4997ca71d9541f",
+    ),
+    (
+        "simulated-array",
+        RunSpec(
+            ProgramSpec("qr", 5, 100), SchedulerSpec("starpu", 7, policy="prio"),
+            "magny_cours_48", seed=1, mode="simulated", cal_nt=4,
+            engine_backend="array",
+        ),
+        "56028c253389df8bf1da66c6ab8f5a68ef8dd56d9787b80d2de600561e7d5f8e",
+    ),
+    (
+        "threaded-guard",
+        RunSpec(
+            ProgramSpec("cholesky", 4, 100), SchedulerSpec("ompss", 3),
+            "magny_cours_48", seed=2, mode="simulated", cal_nt=3,
+            runtime="threaded", guard="sleep",
+        ),
+        "e0626e4b5c28a690a833131aaa471933370064f06d1a0633bab9c1510236f98a",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,key", [(s, k) for _, s, k in PINNED_CACHE_KEYS], ids=[n for n, _, _ in PINNED_CACHE_KEYS]
+)
+def test_pinned_cache_keys(spec, key):
+    assert spec.cache_key() == key
+    assert RunSpec.from_dict(json.loads(json.dumps(spec.to_dict()))).cache_key() == key
+
+
+class TestLegacySpecDocuments:
+    """Spec documents written while ``RunSpec`` still had ``engine_mode``.
+
+    ``tests/data`` holds a cache entry's ``spec.json`` and a ``repro client
+    --metrics-out`` file, both captured before the field was removed; each
+    carries ``"engine_mode": "serialized"``.
+    """
+
+    SPEC_JSON_KEY = "c2eeb387d42741bcec5c54f2c55b7a65a0855f1c3c1009098fe19f79cdb52fcc"
+
+    def test_spec_json_loads_and_keeps_its_cache_key(self):
+        doc = json.loads((DATA / "pre_removal_spec.json").read_text())
+        assert doc["engine_mode"] == "serialized"
+        spec = RunSpec.from_dict(doc)
+        assert "engine_mode" not in spec.to_dict()
+        assert spec.cache_key() == self.SPEC_JSON_KEY
+
+    @pytest.mark.parametrize("mode", ["multicell", "auto", None, 1])
+    def test_other_engine_modes_name_the_removed_engine(self, mode):
+        doc = json.loads((DATA / "pre_removal_spec.json").read_text())
+        doc["engine_mode"] = mode
+        with pytest.raises(ValueError, match="partitioned engine"):
+            RunSpec.from_dict(doc)
+
+    def test_client_sweep_replays_with_recorded_key_and_trace(self):
+        path = DATA / "pre_removal_client_sweep.json"
+        [recorded] = json.loads(path.read_text())["responses"]
+        [request] = load_request_log(path)
+        assert recorded["spec"]["engine_mode"] == "serialized"
+        assert "engine_mode" not in request["spec"]
+        spec = RunSpec.from_dict(request["spec"])
+        assert spec.cache_key() == recorded["key"]
+        assert run_cached(spec, None).trace_dump() == recorded["trace"]
+
+    def test_client_sweep_with_a_partitioned_mode_is_refused(self, tmp_path):
+        doc = json.loads((DATA / "pre_removal_client_sweep.json").read_text())
+        doc["responses"][0]["spec"]["engine_mode"] = "multicell"
+        path = tmp_path / "log.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="partitioned engine"):
+            load_request_log(path)
 
 
 class TestPartitionNaming:

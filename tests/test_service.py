@@ -40,6 +40,7 @@ from repro.service import (
     SimulationService,
     sweep_via_service,
 )
+from repro.service.client import http_json_request
 from repro.service.protocol import SERVICE_SCHEMA, error_document
 
 
@@ -132,6 +133,91 @@ class TestProtocol:
             error_document("nope", "x")
         doc = error_document("overloaded", "busy", retry_after_s=0.5)
         assert doc["ok"] is False and doc["retry_after_s"] == 0.5
+
+
+#: Spec fields that used to pass wire validation and then fail inside the
+#: run as ``500 failed`` (``cal_nt`` "4" dropped the connection instead):
+#: ``(dotted path, bad value, message fragment)`` on a simulated StarPU spec.
+MALFORMED_SPEC_FIELDS = [
+    ("seed", "abc", "seed"),
+    ("seed", -1, "seed"),
+    ("seed", 1.5, "seed"),
+    ("machine", "nope", "machine"),
+    ("scheduler.name", "foo", "scheduler"),
+    ("scheduler.name", "quark", "policy"),
+    ("scheduler.n_workers", 0, "n_workers"),
+    ("scheduler.n_workers", "4", "n_workers"),
+    ("scheduler.window", 0, "window"),
+    ("scheduler.window", "8", "window"),
+    ("scheduler.policy", "bogus", "policy"),
+    ("scheduler.immediate_successor", True, "immediate_successor"),
+    ("cal_seed", "x", "cal_seed"),
+    ("cal_nt", "4", "cal_nt"),
+    ("family", "bogus", "family"),
+    ("engine_mode", "multicell", "partitioned engine"),
+]
+
+
+def _starpu_simulated_spec() -> RunSpec:
+    return RunSpec(
+        program=ProgramSpec("cholesky", 3, 32),
+        scheduler=SchedulerSpec("starpu", 3, policy="prio"),
+        machine="uniform_4",
+        mode="simulated",
+        cal_nt=4,
+    )
+
+
+def _malformed_body(path: str, value) -> dict:
+    spec = _starpu_simulated_spec().to_dict()
+    *parents, leaf = path.split(".")
+    node = spec
+    for name in parents:
+        node = node[name]
+    node[leaf] = value
+    return {"schema": SERVICE_SCHEMA, "spec": spec}
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize(
+        "path,value,fragment",
+        MALFORMED_SPEC_FIELDS,
+        ids=[f"{p}={v!r}" for p, v, _ in MALFORMED_SPEC_FIELDS],
+    )
+    def test_malformed_field_fails_at_parse_time(self, path, value, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            RunRequest.from_document(_malformed_body(path, value))
+
+    def test_parse_builds_no_program_or_scheduler(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("parsing must not build anything")
+
+        monkeypatch.setattr(ProgramSpec, "build", refuse)
+        monkeypatch.setattr(SchedulerSpec, "build", refuse)
+        doc = RunRequest(_starpu_simulated_spec()).to_document()
+        assert RunRequest.from_document(doc).spec == _starpu_simulated_spec()
+
+    def test_server_answers_400_before_running_anything(self, tmp_path):
+        with SimulationService(workers=1, cache=tmp_path / "cache") as svc:
+            server = ReproServer(svc, port=0).start()
+            try:
+                host, port = server.address
+                for path, value, fragment in MALFORMED_SPEC_FIELDS:
+                    status, doc = http_json_request(
+                        host, port, "POST", "/v1/run", _malformed_body(path, value)
+                    )
+                    assert (status, doc["error"]) == (400, "bad_request"), (path, doc)
+                    assert fragment in doc["message"]
+                legacy = _starpu_simulated_spec().to_dict()
+                legacy["engine_mode"] = "serialized"
+                status, doc = http_json_request(
+                    host, port, "POST", "/v1/run", {"spec": legacy}
+                )
+                assert status == 200 and doc["key"] == _starpu_simulated_spec().cache_key()
+            finally:
+                server.shutdown(drain_timeout_s=10)
+                assert server.wait_closed(10)
+            assert len(ResultCache(tmp_path / "cache")) == 2  # the run + its calibration
 
 
 # ---------------------------------------------------------------------------
