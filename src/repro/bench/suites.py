@@ -121,7 +121,7 @@ def _make_teq_push_pop(n: int):
     return setup
 
 
-def _make_dispatch_loop(n_tasks: int, n_workers: int, engine_backend: str = "object"):
+def _make_dispatch_loop(n_tasks: int, n_workers: int, *, array: bool):
     def setup():
         program = _independent_program(n_tasks)
         models = KernelModelSet(
@@ -136,7 +136,7 @@ def _make_dispatch_loop(n_tasks: int, n_workers: int, engine_backend: str = "obj
             from ..schedulers.engine import Engine
 
             metrics = RunMetrics()
-            engine_cls = ArrayEngine if engine_backend == "array" else Engine
+            engine_cls = ArrayEngine if array else Engine
             engine = engine_cls(
                 make_scheduler("quark", n_workers),
                 program,
@@ -237,14 +237,12 @@ def default_suite(
     *,
     quick: bool = False,
     workers: int = 48,
-    engine_backend: str = "object",
 ) -> List[BenchSpec]:
     """The standard suite: the micro benchmarks plus the macro grid.
 
-    ``engine_backend`` (``repro bench --engine-backend``) applies to the
-    plain ``micro/dispatch-loop`` entry only — ``micro/dispatch-loop-array``
-    pins the array core so both loops can be compared inside a single
-    report regardless of the flag.
+    ``micro/dispatch-loop`` drives the object engine and
+    ``micro/dispatch-loop-array`` the array core on the same program, so
+    one report compares the two loops.
     """
     micro_scale = 1 if quick else 4
     macro_repeats = 3 if quick else 5
@@ -260,25 +258,15 @@ def default_suite(
             name="micro/dispatch-loop",
             group="micro",
             unit="events/s",
-            make=_make_dispatch_loop(
-                4_000 * micro_scale, 16, engine_backend=engine_backend
-            ),
-            params={
-                "n_tasks": 4_000 * micro_scale,
-                "n_workers": 16,
-                "engine_backend": engine_backend,
-            },
+            make=_make_dispatch_loop(4_000 * micro_scale, 16, array=False),
+            params={"n_tasks": 4_000 * micro_scale, "n_workers": 16, "engine": "object"},
         ),
         BenchSpec(
             name="micro/dispatch-loop-array",
             group="micro",
             unit="events/s",
-            make=_make_dispatch_loop(4_000 * micro_scale, 16, engine_backend="array"),
-            params={
-                "n_tasks": 4_000 * micro_scale,
-                "n_workers": 16,
-                "engine_backend": "array",
-            },
+            make=_make_dispatch_loop(4_000 * micro_scale, 16, array=True),
+            params={"n_tasks": 4_000 * micro_scale, "n_workers": 16, "engine": "array"},
         ),
         BenchSpec(
             name="micro/duration-sampling",

@@ -78,7 +78,6 @@ from typing import Callable, Dict, Optional, Sequence
 
 from .algorithms import cholesky_program, lu_program, qr_program
 from .calib import DEFAULT_FAMILIES as _CALIB_DEFAULT_FAMILIES
-from .core.soa import ENGINE_BACKENDS, default_engine_backend
 from .core.simulator import run_real, validate
 from .dag import build_dag, dag_stats, write_dot
 from .experiments import (
@@ -127,19 +126,6 @@ def _scheduler(args):
     if getattr(args, "window", None):
         kwargs["window"] = args.window
     return make_scheduler(args.scheduler, args.workers, **kwargs)
-
-
-def _add_engine_backend_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--engine-backend", choices=ENGINE_BACKENDS, default=None,
-                   dest="engine_backend",
-                   help="engine implementation: object (per-task-node event "
-                   "loop) or array (SoA core, byte-identical traces); "
-                   "default $REPRO_ENGINE_BACKEND or object")
-
-
-def _engine_backend(args) -> str:
-    backend = getattr(args, "engine_backend", None)
-    return default_engine_backend() if backend is None else backend
 
 
 def _add_problem_args(p: argparse.ArgumentParser, *, with_sched: bool = True) -> None:
@@ -210,7 +196,6 @@ def _cmd_run(args) -> int:
         metrics = RunMetrics()
     trace = run_real(
         _program(args), _scheduler(args), machine, seed=args.seed, metrics=metrics,
-        engine_backend=_engine_backend(args),
     )
     trace.validate()
     if args.metrics_out:
@@ -300,7 +285,6 @@ def _cmd_sweep(args) -> int:
                             machine=args.machine,
                             seed=seed * 1000 + nt,
                             mode="real",
-                            engine_backend=_engine_backend(args),
                         )
                     )
                 if args.mode in ("simulated", "validate"):
@@ -316,7 +300,6 @@ def _cmd_sweep(args) -> int:
                             cal_seed=seed,
                             family=args.family,
                             calibration=args.calibration,
-                            engine_backend=_engine_backend(args),
                         )
                     )
                 points.append((name, nt, seed, idx))
@@ -784,9 +767,7 @@ def _cmd_bench(args) -> int:
     if args.repeats is not None and args.repeats < 1:
         print("--repeats must be at least 1", file=sys.stderr)
         return 2
-    specs = default_suite(
-        quick=args.quick, workers=args.workers, engine_backend=_engine_backend(args)
-    )
+    specs = default_suite(quick=args.quick, workers=args.workers)
     if args.repeats is not None:
         for spec in specs:
             spec.repeats = args.repeats
@@ -890,7 +871,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="one real run on the machine model")
     _add_problem_args(p)
-    _add_engine_backend_arg(p)
     p.add_argument("--svg", default=None)
     p.add_argument("--gantt", action="store_true")
     p.add_argument("--gantt-width", type=int, default=100, dest="gantt_width")
@@ -945,7 +925,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probe-dir", default=None, dest="probe_dir",
                    help="attach a recording probe to every run and write "
                    "timeline artifacts (Perfetto/series/attribution) here")
-    _add_engine_backend_arg(p)
     p.add_argument("--verbose", action="store_true",
                    help="print per-run progress to stderr")
     p.set_defaults(fn=_cmd_sweep)
@@ -1071,7 +1050,6 @@ def build_parser() -> argparse.ArgumentParser:
                    "(1 - this) x baseline")
     p.add_argument("--verbose", action="store_true",
                    help="print per-benchmark progress to stderr")
-    _add_engine_backend_arg(p)
     p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser(

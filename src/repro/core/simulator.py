@@ -37,20 +37,17 @@ def run_real(
     seed: int = 0,
     metrics: Optional[RunMetrics] = None,
     probe=None,
-    engine_backend: Optional[str] = None,
 ) -> Trace:
     """A ground-truth run: scheduler + machine-model durations.
 
     ``metrics`` and ``probe`` are the observability hooks: run counters and
     the scheduler-internal event stream (:mod:`repro.obs`).  Neither changes
-    the trace, and neither does ``engine_backend`` — ``"array"`` runs the
-    identical simulation on the SoA core (``None`` defers to
-    ``$REPRO_ENGINE_BACKEND``).
+    the trace.
     """
     backend = machine if isinstance(machine, MachineBackend) else MachineBackend(machine)
     return scheduler.run(
         program, backend, seed=seed, trace_meta={"mode": "real"},
-        metrics=metrics, probe=probe, engine_backend=engine_backend,
+        metrics=metrics, probe=probe,
     )
 
 
@@ -63,7 +60,6 @@ def simulate(
     warmup_penalty: float = 0.0,
     metrics: Optional[RunMetrics] = None,
     probe=None,
-    engine_backend: Optional[str] = None,
 ) -> Trace:
     """A simulated run: scheduler + timing-model durations (paper §V).
 
@@ -71,14 +67,11 @@ def simulate(
     initialisation cost in the simulated trace (the paper notes its absence
     as one of the two visible differences between Figs. 6 and 7).
     ``metrics`` / ``probe`` observe the run without perturbing it.
-    ``engine_backend`` selects the engine implementation
-    (``"object"``/``"array"``; ``None`` defers to
-    ``$REPRO_ENGINE_BACKEND``).  Both backends produce the same trace.
     """
     backend = SimulationBackend(models, warmup_penalty=warmup_penalty)
     return scheduler.run(
         program, backend, seed=seed, trace_meta={"mode": "simulated"},
-        metrics=metrics, probe=probe, engine_backend=engine_backend,
+        metrics=metrics, probe=probe,
     )
 
 

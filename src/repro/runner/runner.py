@@ -101,7 +101,7 @@ def execute_spec(
     else:
         trace = spec.scheduler.build().run(
             program, backend, seed=spec.seed, trace_meta=trace_meta,
-            metrics=metrics, probe=probe, engine_backend=spec.engine_backend,
+            metrics=metrics, probe=probe,
         )
     metrics.extra.update(
         {

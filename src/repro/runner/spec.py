@@ -24,7 +24,6 @@ from dataclasses import asdict, dataclass, replace
 from typing import Any, Dict, Optional
 
 from ..algorithms import cholesky_program, lu_program, qr_program
-from ..core.soa import ENGINE_BACKENDS
 from ..core.task import Program
 from ..core.watchdog import STALL_POLICIES, StallPolicy
 from ..kernels.distributions import MODEL_FAMILIES
@@ -58,22 +57,37 @@ def _check_int(what: str, value: Any, minimum: int) -> None:
         raise ValueError(f"{what} must be at least {minimum}, got {value!r}")
 
 
-def _drop_legacy_engine_mode(data: Any) -> Any:
-    """Accept spec documents written while ``RunSpec`` had ``engine_mode``.
+#: Fields ``RunSpec`` has lost: the values old documents carry, and what
+#: any other value would have meant.
+_LEGACY_FIELDS = {
+    "engine_mode": (
+        ("serialized",),
+        "selected the cell-partitioned engine, which has been removed",
+    ),
+    "engine_backend": (
+        ("object", "array"),
+        "names no engine, and the scheduler now picks the engine",
+    ),
+}
 
-    Every such document carries ``"engine_mode": "serialized"``, which named
-    the one event loop that remains, so it is dropped.  Any other value
-    selected the removed cell-partitioned (multicell) engine and is refused.
+
+def _drop_legacy_fields(data: Any) -> Any:
+    """Accept spec documents written while ``RunSpec`` had engine knobs.
+
+    ``"engine_mode": "serialized"`` named the one event loop that remains,
+    and ``engine_backend`` chose between two loops that give the same trace;
+    both are dropped, so such a document hashes to the key it would have
+    without them.  Any other value is refused with ``ValueError``.
     """
-    if not isinstance(data, dict) or "engine_mode" not in data:
+    if not isinstance(data, dict) or _LEGACY_FIELDS.keys().isdisjoint(data):
         return data
-    mode = data["engine_mode"]
-    if mode != "serialized":
-        raise ValueError(
-            f"engine_mode {mode!r} selected the cell-partitioned engine, which "
-            "has been removed; only the legacy value 'serialized' is accepted"
-        )
-    return {k: v for k, v in data.items() if k != "engine_mode"}
+    for name, (accepted, meaning) in _LEGACY_FIELDS.items():
+        if name in data and data[name] not in accepted:
+            raise ValueError(
+                f"{name} {data[name]!r} {meaning}; legacy documents may carry "
+                f"only {', '.join(map(repr, accepted))}"
+            )
+    return {k: v for k, v in data.items() if k not in _LEGACY_FIELDS}
 
 
 def _known_fields(cls, data: Dict[str, Any], what: str) -> Dict[str, Any]:
@@ -236,13 +250,6 @@ class RunSpec:
     #: out of the cache key so pre-existing caches survive.
     calibration: Optional[str] = None
 
-    #: object | array — the engine implementation (:mod:`repro.core.soa`).
-    #: Both produce byte-identical traces, so ``object`` (the default) is
-    #: normalised out of the cache key and pre-existing caches survive;
-    #: ``array`` stays in because the recorded metrics (wall time, fallback
-    #: provenance) differ.
-    engine_backend: str = "object"
-
     def __post_init__(self) -> None:
         _check_int("seed", self.seed, 0)
         _check_int("cal_seed", self.cal_seed, 0)
@@ -268,16 +275,6 @@ class RunSpec:
             )
         if self.runtime not in RUNTIMES:
             raise ValueError(f"unknown runtime {self.runtime!r}; choose from {RUNTIMES}")
-        if self.engine_backend not in ENGINE_BACKENDS:
-            raise ValueError(
-                f"unknown engine_backend {self.engine_backend!r}; "
-                f"choose from {ENGINE_BACKENDS}"
-            )
-        if self.runtime == "threaded" and self.engine_backend != "object":
-            raise ValueError(
-                "the threaded runtime has no array-native event loop; "
-                "engine_backend must stay 'object' with runtime='threaded'"
-            )
         if self.runtime == "threaded":
             from ..core.threaded import RACE_GUARDS  # deferred: heavy module
 
@@ -330,11 +327,11 @@ class RunSpec:
         ``spec.json`` provenance files: nested ``program`` / ``scheduler`` /
         ``cal_scheduler`` objects are reconstructed recursively, every
         field is validated by the dataclass ``__post_init__`` checks, and
-        unknown keys raise ``ValueError`` instead of being dropped.  The one
-        exception is a legacy ``"engine_mode": "serialized"`` entry, which
-        older documents carry and which is dropped.
+        unknown keys raise ``ValueError`` instead of being dropped.  The
+        exceptions are the legacy ``engine_mode`` and ``engine_backend``
+        entries older documents carry (see :func:`_drop_legacy_fields`).
         """
-        fields = _known_fields(cls, _drop_legacy_engine_mode(data), "RunSpec")
+        fields = _known_fields(cls, _drop_legacy_fields(data), "RunSpec")
         fields["program"] = ProgramSpec.from_dict(fields.get("program") or {})
         fields["scheduler"] = SchedulerSpec.from_dict(fields.get("scheduler") or {})
         if fields.get("cal_scheduler") is not None:
@@ -382,8 +379,5 @@ class RunSpec:
         doc.pop("on_stall", None)
         if self.runtime != "threaded":
             doc.pop("guard", None)
-        # The default object backend drops out so existing caches stay valid.
-        if self.engine_backend == "object":
-            doc.pop("engine_backend", None)
         canon = json.dumps(doc, sort_keys=True, default=str)
         return hashlib.sha256(canon.encode()).hexdigest()

@@ -22,12 +22,24 @@
  *
  * Return codes: 0 ok; 1 invalid duration (counters[11] = task id);
  * 2 unfinished tasks (counters[11] = count); 3 allocation failure.
+ *
+ * tools/build_array_core.py passes the SHA-256 of this file as
+ * REPRO_CORE_SOURCE_SHA256; the loader refuses a library whose stamp does
+ * not match the source next to it, so a stale build never runs.
  */
 
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+
+#ifndef REPRO_CORE_SOURCE_SHA256
+#define REPRO_CORE_SOURCE_SHA256 ""
+#endif
+
+const char *repro_core_source_sha256(void) {
+    return REPRO_CORE_SOURCE_SHA256;
+}
 
 /* Task states — must match repro.core.soa. */
 #define ST_NOT_INSERTED 0
@@ -38,11 +50,11 @@
 
 #define DURATION_FLOOR 1e-9
 
-/* ---- event set: single-bucket calendar (sorted array, FIFO ties) ------- */
+/* ---- event set: sorted array, FIFO ties --------------------------------- */
 /* The pending-event population is bounded by one INSERT plus one FINISH
- * per running task (<= n_workers + 1), which is exactly the regime where
- * the CalendarQueue collapses to its single-bucket configuration: one
- * time-sorted array.  Kept sorted descending so the pop is O(1). */
+ * per running task (<= n_workers + 1), so one time-sorted array beats a
+ * heap here.  It pops in the same (time, push sequence) order as the
+ * Python loop's heapq.  Kept sorted descending so the pop is O(1). */
 
 typedef struct {
     double t;

@@ -1,4 +1,4 @@
-"""Array-native discrete-event engine: the SoA core behind ``engine_backend="array"``.
+"""Array-native discrete-event engine: the SoA core :meth:`SchedulerBase.run` prefers.
 
 This engine replays exactly the same simulation as
 :class:`repro.schedulers.engine.Engine` — same event order, same probe
@@ -10,9 +10,8 @@ flat data of :class:`repro.core.soa.SoAProgram` instead of per-task
   graph live in arrays indexed by task id (numpy for construction and
   analysis, plain lists inside the loop, where scalar indexing is several
   times faster than numpy's);
-* the event set is a :class:`~repro.core.soa.CalendarQueue` keyed on
-  ``(time, push sequence)`` — the same total order as the object engine's
-  binary heap, so pops interleave identically;
+* the event set is a binary heap of ``(time, push sequence, payload)`` —
+  the object engine's own discipline, so pops interleave identically;
 * hazard analysis is hoisted out of the run entirely (the CSR successor
   arrays are built once, before the clock starts);
 * when the backend is a plain :class:`~repro.core.simbackend.SimulationBackend`
@@ -33,14 +32,16 @@ with the same float operation order, so which one executes never changes a
 single output bit.
 
 Not every configuration has an array path: work-stealing and ``dmda``
-StarPU policies, scheduler subclasses and programs the scheduler cannot
-even express fall back to the object engine (see
-:func:`array_backend_unsupported`); :meth:`SchedulerBase.run` performs that
-fallback and records the reason.
+StarPU policies and scheduler subclasses run on the object engine instead
+(see :func:`array_backend_unsupported`); :meth:`SchedulerBase.run` makes
+that choice and records it.  The array engine never calls the scheduler's
+``on_finish`` hook: for the policies it covers, that hook only feeds
+StarPU's performance model, which ``eager`` and ``prio`` never read.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from bisect import insort
@@ -51,7 +52,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.metrics import RunMetrics
-from ..core.soa import DONE, NOT_INSERTED, READY, RUNNING, WAITING, CalendarQueue, SoAProgram
+from ..core.soa import DONE, NOT_INSERTED, READY, RUNNING, WAITING, SoAProgram
 from ..core.task import Program
 from ..obs.probe import active_probe
 from ..trace.events import ColumnTrace, Trace
@@ -325,9 +326,11 @@ class ArrayEngine:
         math_exp = math.exp
         isfinite = math.isfinite
 
-        cal = CalendarQueue()
-        cal_push = cal.push
-        cal_pop = cal.pop
+        # Future events as (t, push seq, payload): equal times pop in push
+        # order, like the object engine's heap.  Payload -1 is an INSERT,
+        # otherwise the id of the task that finishes.
+        events: List[Tuple[float, int, int]] = []
+        seq = itertools.count()
         q_push, q_pop = self._make_ready_queue()
 
         # Scheduler constants.
@@ -362,11 +365,9 @@ class ArrayEngine:
         pending_wide = -1
         n_ready = 0
         heap_pushes = 0
-        heap_pops = 0
-        heap_size = 0
         peak_heap = 0
         peak_ready = 0
-        events = 0
+        n_events = 0
         insert_events = 0
         finish_events = 0
         window_stalls = 0
@@ -377,7 +378,7 @@ class ArrayEngine:
         def maybe_start_insertion() -> None:
             """Mirror of Engine._maybe_start_insertion on flat state."""
             nonlocal window_stalls, window_stalled, master_debt
-            nonlocal insert_pending, master_free, heap_pushes, heap_size, peak_heap
+            nonlocal insert_pending, master_free, heap_pushes, peak_heap
             if next_insert >= n_nodes:
                 return
             if in_flight >= window:
@@ -402,16 +403,15 @@ class ArrayEngine:
                 master_free = t_ins
             master_debt = 0.0
             insert_pending = True
-            cal_push(t_ins, -1)
+            heappush(events, (t_ins, next(seq), -1))
             heap_pushes += 1
-            heap_size += 1
-            if heap_size > peak_heap:
-                peak_heap = heap_size
+            if len(events) > peak_heap:
+                peak_heap = len(events)
 
         def assign(tid: int, worker: int) -> None:
             """Mirror of Engine._assign: place ``tid`` on ``worker`` now."""
             nonlocal master_debt, n_running, tasks_executed, zpos
-            nonlocal heap_pushes, heap_size, peak_heap
+            nonlocal heap_pushes, peak_heap
             if state[tid] != READY:
                 raise RuntimeError(f"dispatching task {tid} in state {state[tid]}")
             state[tid] = RUNNING
@@ -459,11 +459,10 @@ class ArrayEngine:
             if probe is not None:
                 probe.task_dispatched(now, tid, worker, start, w)
             trace_cols.append((worker, tid, start, end))
-            cal_push(end, tid)
+            heappush(events, (end, next(seq), tid))
             heap_pushes += 1
-            heap_size += 1
-            if heap_size > peak_heap:
-                peak_heap = heap_size
+            if len(events) > peak_heap:
+                peak_heap = len(events)
 
         def gang_start(width: int) -> int:
             """Mirror of Engine._gang_start: lowest eligible contiguous run."""
@@ -531,11 +530,9 @@ class ArrayEngine:
 
         maybe_start_insertion()
 
-        while cal.size:
-            t, payload = cal_pop()
-            heap_pops += 1
-            heap_size -= 1
-            events += 1
+        while events:
+            t, _, payload = heappop(events)
+            n_events += 1
             if t < now - 1e-12:
                 raise RuntimeError(f"event time went backwards: {t} < {now}")
             if t > now:
@@ -630,11 +627,11 @@ class ArrayEngine:
         )
         self.trace = trace
 
-        m.events_processed = events
+        m.events_processed = n_events
         m.insert_events = insert_events
         m.finish_events = finish_events
         m.heap_pushes = heap_pushes
-        m.heap_pops = heap_pops
+        m.heap_pops = n_events  # one pop per event
         m.peak_heap_depth = peak_heap
         m.window_stalls = window_stalls
         m.dispatch_stalls = dispatch_stalls

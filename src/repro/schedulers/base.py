@@ -180,7 +180,6 @@ class SchedulerBase:
         trace_meta: Optional[Dict[str, object]] = None,
         metrics: Optional["RunMetrics"] = None,
         probe: Optional[object] = None,
-        engine_backend: Optional[str] = None,
     ) -> "Trace":
         """Execute ``program`` against ``backend`` and return the trace.
 
@@ -190,53 +189,28 @@ class SchedulerBase:
         collects the run's :class:`~repro.core.metrics.RunMetrics` counters.
         ``probe``, when given and enabled, receives the scheduler-internal
         event stream (see :mod:`repro.obs.probe`); probes observe only and
-        never change the trace.  ``engine_backend`` selects the engine
-        *implementation* — ``"object"`` (per-task-node event loop) or
-        ``"array"`` (the SoA core of
-        :mod:`repro.schedulers.array_engine`); ``None`` defers to
-        :func:`repro.core.soa.default_engine_backend` (the
-        ``REPRO_ENGINE_BACKEND`` environment variable).  A configuration
-        the array core cannot replicate byte-for-byte falls back to the
-        object engine, recording the reason under
-        ``metrics.extra["engine_backend"]``.  Both backends produce the
-        same trace.
+        never change the trace.
+
+        The configuration picks the engine: the array core of
+        :mod:`repro.schedulers.array_engine` runs every scheduler it
+        replicates byte for byte, and the object
+        :class:`~repro.schedulers.engine.Engine` runs the rest.  Both give
+        the same trace.  ``metrics.extra["engine_backend"]`` records
+        ``{"used": "array"}`` or ``{"used": "object", "fallback_reason": ...}``.
         """
-        from ..core.soa import ENGINE_BACKENDS, default_engine_backend
+        # Local imports: both engine modules import this one.
+        from .array_engine import ArrayEngine, array_backend_unsupported
 
-        if engine_backend is None:
-            engine_backend = default_engine_backend()
-        elif engine_backend not in ENGINE_BACKENDS:
-            raise ValueError(
-                f"unknown engine backend {engine_backend!r}; "
-                f"expected one of {ENGINE_BACKENDS}"
-            )
-        if engine_backend == "array":
-            from .array_engine import ArrayEngine, array_backend_unsupported
+        reason = array_backend_unsupported(self)
+        if reason is None:
+            engine_cls, record = ArrayEngine, {"used": "array"}
+        else:
+            from .engine import Engine
 
-            reason = array_backend_unsupported(self)
-            if reason is None:
-                engine = ArrayEngine(
-                    self,
-                    program,
-                    backend,
-                    seed=seed,
-                    trace_meta=trace_meta,
-                    metrics=metrics,
-                    probe=probe,
-                )
-                if metrics is not None:
-                    metrics.extra["engine_backend"] = {"requested": "array", "used": "array"}
-                return engine.run()
-            if metrics is not None:
-                metrics.extra["engine_backend"] = {
-                    "requested": "array",
-                    "used": "object",
-                    "fallback_reason": reason,
-                }
-
-        from .engine import Engine  # local import to avoid a cycle
-
-        engine = Engine(
+            engine_cls, record = Engine, {"used": "object", "fallback_reason": reason}
+        if metrics is not None:
+            metrics.extra["engine_backend"] = record
+        engine = engine_cls(
             self,
             program,
             backend,

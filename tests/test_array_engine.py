@@ -1,21 +1,22 @@
-"""Tests for the array-native (SoA + calendar queue) simulation core.
+"""Tests for the array-native (SoA) simulation core.
 
-The headline guarantee: ``engine_backend="array"`` produces the *same
-bytes* as the object engine.  The golden digests in
-``tests/data/preopt_trace_digests.json`` must hold through the compiled C
-event loop, the pure-Python array loop (compiled core forced off), and the
-per-call adapter path real-mode runs take — with and without a probe
-attached.  On top of that, a Hypothesis differential drives random hazard
-DAGs through both backends, and the selection/fallback plumbing
-(``REPRO_ENGINE_BACKEND``, ``RunSpec.engine_backend``, cache-key
-compatibility) is pinned down.
+The headline guarantee: :class:`ArrayEngine` produces the *same bytes* as
+the object :class:`Engine`, which stays in the tree as the oracle these
+tests compare against.  The golden digests in
+``tests/data/preopt_trace_digests.json`` must hold through the object
+engine, the compiled C event loop, the pure-Python array loop (compiled
+core forced off), and the per-call adapter path real-mode runs take — with
+and without a probe attached.  On top of that, a Hypothesis differential
+drives random hazard DAGs through both engines, the engine choice of
+:meth:`SchedulerBase.run` and its record in ``metrics.extra`` are pinned
+down, and a compiled core built from another source must be refused.
 """
 
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,10 +26,12 @@ from repro.bench import synthetic_models
 from repro.core.metrics import RunMetrics
 from repro.core.simbackend import SimulationBackend
 from repro.core.simulator import run_real, simulate
-from repro.core.soa import ENGINE_BACKENDS, SoAProgram, default_engine_backend
+from repro.core.soa import SoAProgram
 from repro.core.task import Program
+from repro.machine.backend import MachineBackend
 from repro.obs import RecordingProbe
 from repro.runner import ProgramSpec, RunSpec, SchedulerSpec
+from repro.schedulers import _array_core
 from repro.schedulers import array_engine as array_engine_module
 from repro.schedulers import make_scheduler
 from repro.schedulers.array_engine import (
@@ -36,16 +39,37 @@ from repro.schedulers.array_engine import (
     USING_COMPILED_CORE,
     array_backend_unsupported,
 )
+from repro.schedulers.engine import Engine
+from repro.schedulers.quark import QuarkScheduler
 from repro.trace.events import ColumnTrace
 from repro.trace.textio import dumps_trace
 
+ROOT = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).parent / "data"
 SCHEDULERS = ("quark", "starpu", "ompss")
 DIGESTS = json.loads((DATA / "preopt_trace_digests.json").read_text())["digests"]
+ENGINES = {"object": Engine, "array": ArrayEngine}
 
 
 def _digest(trace) -> str:
     return hashlib.sha256(dumps_trace(trace).encode()).hexdigest()
+
+
+def _simulate_on(engine_cls, program, scheduler, models, *, seed, warmup_penalty=0.0,
+                 **kwargs):
+    """``simulate()`` with the engine picked by the test, not by the scheduler."""
+    backend = SimulationBackend(models, warmup_penalty=warmup_penalty)
+    return engine_cls(
+        scheduler, program, backend, seed=seed, trace_meta={"mode": "simulated"}, **kwargs
+    ).run()
+
+
+def _use_core(variant, monkeypatch):
+    if variant == "compiled":
+        if not USING_COMPILED_CORE:
+            pytest.skip("compiled array core not built")
+    else:
+        monkeypatch.setattr(array_engine_module, "_c_run", None)
 
 
 @pytest.fixture(params=["compiled", "pure-python"])
@@ -56,61 +80,66 @@ def core_variant(request, monkeypatch):
     interpreted loop; the ``compiled`` variant skips (not fails) where no C
     core was built so the suite stays green on compiler-less machines.
     """
-    if request.param == "compiled":
-        if not USING_COMPILED_CORE:
-            pytest.skip("compiled array core not built")
-    else:
-        monkeypatch.setattr(array_engine_module, "_c_run", None)
+    _use_core(request.param, monkeypatch)
     return request.param
+
+
+@pytest.fixture(params=["object", "compiled", "pure-python"])
+def engine_cls(request, monkeypatch):
+    """The object engine, then the array engine on each of its two loops."""
+    if request.param == "object":
+        return Engine
+    _use_core(request.param, monkeypatch)
+    return ArrayEngine
 
 
 # -- golden byte-identity ---------------------------------------------------
 class TestGoldenDigests:
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_simulated_matches_golden(self, scheduler, core_variant):
+    def test_simulated_matches_golden(self, scheduler, engine_cls):
         for algorithm, gen in (("cholesky", cholesky_program), ("qr", qr_program)):
             program = gen(8, 200)
-            models = synthetic_models(program)
-            trace = simulate(
+            trace = _simulate_on(
+                engine_cls,
                 program,
                 make_scheduler(scheduler, 16),
-                models,
+                synthetic_models(program),
                 seed=1234,
                 warmup_penalty=1e-3,
-                engine_backend="array",
             )
             assert _digest(trace) == DIGESTS[f"sim/{algorithm}/{scheduler}/nt8"], (
-                f"array simulated trace drifted ({core_variant}): "
+                f"simulated trace drifted ({engine_cls.__name__}): "
                 f"{algorithm}/{scheduler}"
             )
 
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
     def test_real_mode_matches_golden(self, scheduler):
-        # MachineBackend has no sweep transforms, so real mode exercises the
-        # per-call adapter path of the pure-Python array loop.
+        # MachineBackend has no sweep transforms, so on the array engine
+        # real mode exercises the per-call adapter path of the Python loop.
         for algorithm, gen in (("cholesky", cholesky_program), ("qr", qr_program)):
             program = gen(8, 200)
-            trace = run_real(
-                program,
-                make_scheduler(scheduler, 16),
-                "magny_cours_48",
-                seed=77,
-                engine_backend="array",
-            )
-            assert _digest(trace) == DIGESTS[f"real/{algorithm}/{scheduler}/nt8"], (
-                f"array real-mode trace drifted: {algorithm}/{scheduler}"
-            )
+            for engine_cls in ENGINES.values():
+                trace = engine_cls(
+                    make_scheduler(scheduler, 16),
+                    program,
+                    MachineBackend("magny_cours_48"),
+                    seed=77,
+                    trace_meta={"mode": "real"},
+                ).run()
+                assert _digest(trace) == DIGESTS[f"real/{algorithm}/{scheduler}/nt8"], (
+                    f"real-mode trace drifted ({engine_cls.__name__}): "
+                    f"{algorithm}/{scheduler}"
+                )
 
     def test_probe_attachment_does_not_perturb_trace(self, core_variant):
         program = cholesky_program(8, 200)
-        models = synthetic_models(program)
-        trace = simulate(
+        trace = _simulate_on(
+            ArrayEngine,
             program,
             make_scheduler("quark", 16),
-            models,
+            synthetic_models(program),
             seed=1234,
             warmup_penalty=1e-3,
-            engine_backend="array",
             probe=RecordingProbe(),
         )
         assert _digest(trace) == DIGESTS["sim/cholesky/quark/nt8"]
@@ -120,17 +149,12 @@ class TestGoldenDigests:
         program = cholesky_program(6, 200)
         models = synthetic_models(program)
         probes = {}
-        for backend in ENGINE_BACKENDS:
+        for name, engine_cls in ENGINES.items():
             probe = RecordingProbe()
-            simulate(
-                program,
-                make_scheduler(scheduler, 16),
-                models,
-                seed=7,
-                engine_backend=backend,
-                probe=probe,
+            _simulate_on(
+                engine_cls, program, make_scheduler(scheduler, 16), models, seed=7, probe=probe
             )
-            probes[backend] = probe
+            probes[name] = probe
         assert probes["object"].events == probes["array"].events
         assert probes["object"].deps == probes["array"].deps
 
@@ -142,18 +166,18 @@ class TestMetricsParity:
         program = cholesky_program(8, 200)
         models = synthetic_models(program)
         collected = {}
-        for backend in ENGINE_BACKENDS:
+        for name, engine_cls in ENGINES.items():
             metrics = RunMetrics()
-            simulate(
+            _simulate_on(
+                engine_cls,
                 program,
                 make_scheduler(scheduler, 16),
                 models,
                 seed=1234,
                 warmup_penalty=1e-3,
-                engine_backend=backend,
                 metrics=metrics,
             )
-            collected[backend] = metrics
+            collected[name] = metrics
         a, b = collected["object"], collected["array"]
         assert a.events_processed == b.events_processed
         assert a.heap_pushes == b.heap_pushes
@@ -197,126 +221,95 @@ class TestDifferential:
         self, program, scheduler, seed, n_workers
     ):
         models = synthetic_models(program)
-        traces = {}
-        for backend in ENGINE_BACKENDS:
-            traces[backend] = simulate(
-                program,
-                make_scheduler(scheduler, n_workers),
-                models,
-                seed=seed,
-                engine_backend=backend,
+        traces = {
+            name: _simulate_on(
+                engine_cls, program, make_scheduler(scheduler, n_workers), models, seed=seed
             )
+            for name, engine_cls in ENGINES.items()
+        }
         assert dumps_trace(traces["object"]) == dumps_trace(traces["array"])
 
 
-# -- backend selection, fallback, spec plumbing -----------------------------
+# -- engine choice and its record -------------------------------------------
+class _SubclassedQuark(QuarkScheduler):
+    """A scheduler subclass: its hooks could differ, so it runs on objects."""
+
+
+#: Configurations ``SchedulerBase.run`` hands to the object engine, with a
+#: fragment of the recorded reason.
+OBJECT_ONLY = [
+    (lambda: make_scheduler("starpu", 16, policy="dmda"), "dmda"),
+    (lambda: make_scheduler("starpu", 16, policy="ws"), "ws"),
+    (lambda: _SubclassedQuark(16), "_SubclassedQuark"),
+]
+
+
 class TestBackendSelection:
-    def test_default_engine_backend_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE_BACKEND", raising=False)
-        assert default_engine_backend() == "object"
-        for backend in ENGINE_BACKENDS:
-            monkeypatch.setenv("REPRO_ENGINE_BACKEND", backend)
-            assert default_engine_backend() == backend
-        monkeypatch.setenv("REPRO_ENGINE_BACKEND", "vectorized")
-        with pytest.raises(ValueError, match="REPRO_ENGINE_BACKEND"):
-            default_engine_backend()
-
-    def test_unknown_backend_rejected(self):
-        program = cholesky_program(4, 100)
-        models = synthetic_models(program)
-        with pytest.raises(ValueError, match="unknown engine backend"):
-            make_scheduler("quark", 4).run(
-                program, SimulationBackend(models), engine_backend="vectorized"
-            )
-
     def test_unsupported_reasons(self):
         assert array_backend_unsupported(make_scheduler("quark", 4)) is None
         assert array_backend_unsupported(make_scheduler("ompss", 4)) is None
         assert array_backend_unsupported(make_scheduler("starpu", 4)) is None
-        assert "dmda" in array_backend_unsupported(
-            make_scheduler("starpu", 4, policy="dmda")
-        )
+        assert array_backend_unsupported(make_scheduler("starpu", 4, policy="prio")) is None
+        for make, fragment in OBJECT_ONLY:
+            assert fragment in array_backend_unsupported(make())
 
     def test_fallback_records_reason_and_preserves_trace(self):
         program = cholesky_program(6, 200)
         models = synthetic_models(program)
-        traces, metrics = {}, RunMetrics()
-        traces["object"] = simulate(
-            program, make_scheduler("starpu", 16, policy="dmda"), models, seed=3
-        )
-        traces["array"] = simulate(
-            program,
-            make_scheduler("starpu", 16, policy="dmda"),
-            models,
-            seed=3,
-            engine_backend="array",
-            metrics=metrics,
-        )
-        assert dumps_trace(traces["object"]) == dumps_trace(traces["array"])
-        record = metrics.extra["engine_backend"]
-        assert record["requested"] == "array"
-        assert record["used"] == "object"
-        assert "dmda" in record["fallback_reason"]
+        for make, fragment in OBJECT_ONLY:
+            metrics = RunMetrics()
+            trace = simulate(program, make(), models, seed=3, metrics=metrics)
+            oracle = _simulate_on(Engine, program, make(), models, seed=3)
+            assert dumps_trace(trace) == dumps_trace(oracle)
+            record = metrics.extra["engine_backend"]
+            assert set(record) == {"used", "fallback_reason"}
+            assert record["used"] == "object"
+            assert fragment in record["fallback_reason"]
 
     def test_array_run_records_backend_used(self):
         program = cholesky_program(4, 100)
         models = synthetic_models(program)
-        metrics = RunMetrics()
-        simulate(
-            program,
+        stock = [
             make_scheduler("quark", 4),
-            models,
-            seed=0,
-            engine_backend="array",
-            metrics=metrics,
-        )
-        assert metrics.extra["engine_backend"] == {
-            "requested": "array",
-            "used": "array",
-        }
-
-    def test_object_run_leaves_metrics_extra_untouched(self):
-        program = cholesky_program(4, 100)
-        models = synthetic_models(program)
+            make_scheduler("ompss", 4),
+            make_scheduler("starpu", 4, policy="eager"),
+            make_scheduler("starpu", 4, policy="prio"),
+        ]
+        for scheduler in stock:
+            metrics = RunMetrics()
+            simulate(program, scheduler, models, seed=0, metrics=metrics)
+            assert metrics.extra["engine_backend"] == {"used": "array"}, scheduler
         metrics = RunMetrics()
-        simulate(
-            program,
-            make_scheduler("quark", 4),
-            models,
-            seed=0,
-            metrics=metrics,
-            engine_backend="object",
-        )
-        assert "engine_backend" not in metrics.extra
+        run_real(program, make_scheduler("quark", 4), "magny_cours_48", metrics=metrics)
+        assert metrics.extra["engine_backend"] == {"used": "array"}
 
 
 class TestRunSpec:
-    def _spec(self, **kwargs):
-        return RunSpec(
+    """Spec documents written while ``RunSpec`` had ``engine_backend``."""
+
+    def _doc(self, **legacy):
+        spec = RunSpec(
             program=ProgramSpec("cholesky", 4, 100),
             scheduler=SchedulerSpec("quark", 16),
             machine="magny_cours_48",
             seed=0,
             mode="real",
-            **kwargs,
         )
+        return spec, {**spec.to_dict(), **legacy}
 
     def test_object_backend_keeps_historical_cache_key(self):
-        # engine_backend="object" is normalized out of the key so every
-        # pre-existing cache entry stays valid.
-        assert self._spec().cache_key() == self._spec(engine_backend="object").cache_key()
-        assert "engine_backend" not in json.dumps(self._spec().cache_key())
-
-    def test_array_backend_changes_cache_key(self):
-        assert self._spec(engine_backend="array").cache_key() != self._spec().cache_key()
+        # The field named one of two engines with the same trace: old
+        # documents load without it and keep every cache entry valid.
+        spec, doc = self._doc(engine_backend="object")
+        loaded = RunSpec.from_dict(doc)
+        assert loaded == spec
+        assert "engine_backend" not in loaded.to_dict()
+        assert loaded.cache_key() == spec.cache_key()
 
     def test_invalid_backend_rejected(self):
+        _, doc = self._doc(engine_backend="vectorized")
         with pytest.raises(ValueError, match="engine_backend"):
-            self._spec(engine_backend="vectorized")
-
-    def test_threaded_runtime_requires_object_backend(self):
-        with pytest.raises(ValueError, match="threaded"):
-            self._spec(runtime="threaded", engine_backend="array")
+            RunSpec.from_dict(doc)
 
 
 # -- SoA construction and trace columns -------------------------------------
@@ -347,25 +340,15 @@ class TestSoAProgram:
         program.add_task("DGEMM", [ref.write()], flops=1.0).width = 8
         models = synthetic_models(program)
         with pytest.raises(ValueError, match="width"):
-            simulate(
-                program,
-                make_scheduler("quark", 4),
-                models,
-                seed=0,
-                engine_backend="array",
-            )
+            _simulate_on(ArrayEngine, program, make_scheduler("quark", 4), models, seed=0)
 
 
 class TestColumnTrace:
     def _array_trace(self):
         program = cholesky_program(4, 100)
         models = synthetic_models(program)
-        return simulate(
-            program,
-            make_scheduler("quark", 8),
-            models,
-            seed=5,
-            engine_backend="array",
+        return _simulate_on(
+            ArrayEngine, program, make_scheduler("quark", 8), models, seed=5
         ), len(program)
 
     def test_lazy_columns_serve_len_and_makespan(self):
@@ -424,16 +407,17 @@ class TestCalibratedModels:
         self, calibrated, scheduler, core_variant
     ):
         program, document = calibrated
-        traces = {}
-        for backend in ENGINE_BACKENDS:
-            traces[backend] = simulate(
+        traces = {
+            name: _simulate_on(
+                engine_cls,
                 program,
                 make_scheduler(scheduler, 16),
                 document.to_model_set(),
                 seed=99,
                 warmup_penalty=1e-3,
-                engine_backend=backend,
             )
+            for name, engine_cls in ENGINES.items()
+        }
         assert dumps_trace(traces["object"]) == dumps_trace(traces["array"])
 
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
@@ -461,3 +445,66 @@ class TestCalibratedModels:
         sim = sum(sims) / len(sims)
         err = abs(sim - real.makespan) / real.makespan
         assert err < 0.05, f"{scheduler}: calibrated sim off by {err * 100:.2f}%"
+
+
+# -- compiled core provenance -----------------------------------------------
+def _build_tool():
+    """``tools/build_array_core.py``, imported from the checkout."""
+    spec = importlib.util.spec_from_file_location(
+        "build_array_core", ROOT / "tools" / "build_array_core.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestCompiledCoreStamp:
+    """The loader runs only a library built from the source next to it."""
+
+    def test_loaded_state_is_explained(self):
+        assert (_array_core.RUN_SERIALIZED is None) == (
+            _array_core.UNAVAILABLE_REASON is not None
+        )
+        assert USING_COMPILED_CORE == (_array_core.RUN_SERIALIZED is not None)
+
+    def test_missing_library_leaves_python_loop_on_golden(self, tmp_path, monkeypatch):
+        fn, reason = _array_core._load(str(tmp_path / "absent.so"), _array_core.source_path())
+        assert fn is None and "not built" in reason
+        monkeypatch.setattr(array_engine_module, "_c_run", fn)
+        program = cholesky_program(8, 200)
+        trace = simulate(
+            program, make_scheduler("ompss", 16), synthetic_models(program),
+            seed=1234, warmup_penalty=1e-3,
+        )
+        assert _digest(trace) == DIGESTS["sim/cholesky/ompss/nt8"]
+
+    def test_stale_or_unstamped_library_is_refused(self, tmp_path, monkeypatch):
+        tool = _build_tool()
+        cc = tool.find_compiler()
+        if cc is None:
+            pytest.skip("no C compiler to build test libraries with")
+        source = _array_core.source_path()
+        good, stale = str(tmp_path / "good.so"), str(tmp_path / "stale.so")
+        assert tool.compile_core(cc, source, good, tool.source_sha256(source)) == 0
+        assert tool.compile_core(cc, source, stale, "0" * 64) == 0
+        # A library from before stamping exports the entry point only.
+        old_src = tmp_path / "old.c"
+        old_src.write_text("int repro_run_serialized(void) { return 0; }\n")
+        old = str(tmp_path / "old.so")
+        assert tool.compile_core(cc, str(old_src), old, "") == 0
+
+        fn, reason = _array_core._load(good, source)
+        assert fn is not None and reason is None
+        fn, reason = _array_core._load(stale, source)
+        assert fn is None and "another source" in reason
+        fn, reason = _array_core._load(old, source)
+        assert fn is None and "no source stamp" in reason
+
+        # A refused core leaves the engine on its Python loop, on golden.
+        monkeypatch.setattr(array_engine_module, "_c_run", fn)
+        program = qr_program(8, 200)
+        trace = simulate(
+            program, make_scheduler("starpu", 16), synthetic_models(program),
+            seed=1234, warmup_penalty=1e-3,
+        )
+        assert _digest(trace) == DIGESTS["sim/qr/starpu/nt8"]

@@ -28,7 +28,7 @@ from repro.runner.runner import run_cached
 from repro.runner.spec import ProgramSpec, RunSpec, SchedulerSpec
 from repro.service import RunRequest, ServiceClient, run_loadgen
 
-from .test_service import make_spec, wait_until
+from .test_service import make_spec
 
 pytestmark = pytest.mark.slow
 
@@ -137,18 +137,18 @@ class TestFleetEndToEnd:
         proc, host, port, _ = fleet3
         client = ServiceClient(host, port)
         big = RunSpec(
-            program=ProgramSpec("cholesky", 48, 64),  # ~1s of real work
+            program=ProgramSpec("cholesky", 48, 64),  # ~0.6 s of real work
             scheduler=SchedulerSpec("quark", n_workers=4),
             machine="uniform_4",
             seed=0,
         )
+        # All four go out together.  A request builds the whole program for
+        # its cache key before it can join a flight, and on a busy shard
+        # that takes about as long as the run, so one sent after the flight
+        # started can arrive after it ended.
         with ThreadPoolExecutor(max_workers=4) as pool:
-            first = pool.submit(client.run, big)
-            wait_until(
-                lambda: client.stats()["totals"]["in_flight"] >= 1, timeout_s=30
-            )
-            rest = [pool.submit(client.run, big) for _ in range(3)]
-            docs = [first.result(timeout=120)] + [f.result(timeout=120) for f in rest]
+            futures = [pool.submit(client.run, big) for _ in range(4)]
+            docs = [f.result(timeout=120) for f in futures]
         assert all(doc["ok"] for doc in docs)
         assert sum(doc["coalesced"] for doc in docs) == 3
         # one flight executed, on exactly one shard

@@ -155,6 +155,7 @@ MALFORMED_SPEC_FIELDS = [
     ("cal_nt", "4", "cal_nt"),
     ("family", "bogus", "family"),
     ("engine_mode", "multicell", "partitioned engine"),
+    ("engine_backend", "vectorized", "engine_backend"),
 ]
 
 

@@ -11,6 +11,11 @@ contraction so the compiled duration transforms round exactly like the
 pure-Python expressions, keeping traces byte-identical across the
 compiled, pure-Python-array and object engines.
 
+The library is stamped with the SHA-256 of the source it was compiled
+from (``repro_core_source_sha256()``); the loader refuses a library whose
+stamp differs from the source next to it, so editing the C file without
+rebuilding falls back to the pure-Python loop instead of running stale code.
+
 Exit status 0 on success (or with ``--if-possible`` when no compiler
 exists, since the engine falls back to pure Python); non-zero on a failed
 compile.
@@ -18,6 +23,7 @@ compile.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import shutil
 import subprocess
@@ -34,6 +40,18 @@ SRC = os.path.join(
 OUT = os.path.join(os.path.dirname(SRC), "lib_array_core.so")
 
 CFLAGS = ["-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-fast-math"]
+
+
+def source_sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def compile_core(cc: str, src: str, out: str, stamp: str) -> int:
+    """Compile ``src`` into ``out`` stamped with ``stamp``; the exit status."""
+    cmd = [cc, *CFLAGS, f'-DREPRO_CORE_SOURCE_SHA256="{stamp}"', "-o", out, src, "-lm"]
+    print(" ".join(cmd))
+    return subprocess.run(cmd).returncode
 
 
 def find_compiler() -> str | None:
@@ -58,12 +76,10 @@ def main(argv: list[str]) -> int:
         return 0 if lenient else 1
     src = os.path.normpath(SRC)
     out = os.path.normpath(OUT)
-    cmd = [cc, *CFLAGS, "-o", out, src, "-lm"]
-    print(" ".join(cmd))
-    proc = subprocess.run(cmd)
-    if proc.returncode != 0:
+    returncode = compile_core(cc, src, out, source_sha256(src))
+    if returncode != 0:
         print("build_array_core: compilation failed", file=sys.stderr)
-        return proc.returncode
+        return returncode
     print(f"built {out}")
     return 0
 
